@@ -327,12 +327,6 @@ func (s *Scheduler) kickLocked() {
 	}
 }
 
-func (s *Scheduler) isDraining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
 // update applies fn to the job under the lock, persists, and publishes.
 func (s *Scheduler) update(id string, fn func(*Status)) {
 	s.mu.Lock()
@@ -527,7 +521,7 @@ func (s *Scheduler) runSEU(ctx context.Context, id string, spec *core.CampaignSp
 		if s.cfg.Coordinator != nil {
 			runErr = s.runFabricChunks(ctx, id, *spec, pending, committed)
 		} else {
-			runErr = s.runLocalChunks(ctx, id, base, cfg.Seed, pending, committed)
+			runErr = s.runLocalChunks(ctx, id, base, pending, committed)
 		}
 		if runErr != nil {
 			return runErr
@@ -555,85 +549,16 @@ func (s *Scheduler) runSEU(ctx context.Context, id string, spec *core.CampaignSp
 }
 
 // runLocalChunks executes pending chunks on the in-process replica pool,
-// checkpointing each through the blob store as it lands.
-func (s *Scheduler) runLocalChunks(ctx context.Context, id string, base *seu.ChunkRunner, seed int64, pending []seu.ChunkSpec, committed func(*seu.ChunkResult)) error {
-	workers := s.cfg.Workers
-	if workers > len(pending) {
-		workers = len(pending)
-	}
-	// Clone all worker replicas from the base up front: cloning while the
-	// base board is mid-injection would snapshot a dirty replica.
-	runners := make([]*seu.ChunkRunner, workers)
-	runners[0] = base
-	for i := 1; i < workers; i++ {
-		runners[i] = base.Clone(seed + int64(i))
-	}
-
-	var (
-		workWG    sync.WaitGroup
-		errMu     sync.Mutex
-		firstErr  error
-		abort     = make(chan struct{})
-		abortOnce sync.Once
-	)
-	// fail records the first worker error and unblocks the feeder, which
-	// would otherwise wait forever on a channel nobody drains.
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
+// checkpointing each through the blob store as it lands. A graceful drain
+// stops new chunks from starting; in-flight ones finish and checkpoint.
+func (s *Scheduler) runLocalChunks(ctx context.Context, id string, base *seu.ChunkRunner, pending []seu.ChunkSpec, committed func(*seu.ChunkResult)) error {
+	return seu.RunChunks(ctx, base, pending, s.cfg.Workers, s.drainCh, s.Metrics.workerBusy, func(cs seu.ChunkSpec, cr *seu.ChunkResult) error {
+		if err := s.st.saveChunk(id, cs, cr); err != nil {
+			return err
 		}
-		errMu.Unlock()
-		abortOnce.Do(func() { close(abort) })
-	}
-
-	chunkCh := make(chan seu.ChunkSpec)
-	var feedWG sync.WaitGroup
-	feedWG.Add(1)
-	go func() {
-		defer feedWG.Done()
-		defer close(chunkCh)
-		for _, cs := range pending {
-			if s.isDraining() || ctx.Err() != nil {
-				return
-			}
-			select {
-			case chunkCh <- cs:
-			case <-ctx.Done():
-				return
-			case <-abort:
-				return
-			}
-		}
-	}()
-
-	for i := 0; i < workers; i++ {
-		workWG.Add(1)
-		go func(r *seu.ChunkRunner) {
-			defer workWG.Done()
-			for cs := range chunkCh {
-				s.Metrics.workerBusy(1)
-				cr, err := r.Run(ctx, cs)
-				s.Metrics.workerBusy(-1)
-				if err != nil {
-					fail(err)
-					return
-				}
-				if err := s.st.saveChunk(id, cs, cr); err != nil {
-					fail(err)
-					return
-				}
-				committed(cr)
-			}
-			// The channel drained without error: every chunk this runner
-			// touched completed, so its replica is a clean substrate —
-			// park it for the next job on this design.
-			r.Release()
-		}(runners[i])
-	}
-	workWG.Wait()
-	feedWG.Wait()
-	return firstErr
+		committed(cr)
+		return nil
+	})
 }
 
 // runFabricChunks leases pending chunks to fabric worker nodes through the
@@ -666,12 +591,12 @@ func (s *Scheduler) runFabricChunks(ctx context.Context, id string, spec core.Ca
 
 // bistReport is the persisted outcome of a BIST job.
 type bistReport struct {
-	Geometry string   `json:"geometry"`
+	Geometry string               `json:"geometry"`
 	Wire     *bist.WireTestReport `json:"wire,omitempty"`
 	CLB      *bist.CLBTestReport  `json:"clb,omitempty"`
 	BRAM     *bist.BRAMTestReport `json:"bram,omitempty"`
-	Healthy  bool     `json:"healthy"`
-	Summary  []string `json:"summary"`
+	Healthy  bool                 `json:"healthy"`
+	Summary  []string             `json:"summary"`
 }
 
 // runBIST runs the enabled self-tests on a freshly configured idle device.

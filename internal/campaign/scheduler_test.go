@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -325,6 +326,10 @@ func TestSpecValidation(t *testing.T) {
 		{"bad geometry", JobSpec{Kind: KindBIST, BIST: &BISTSpec{Geom: "huge", Wire: true}}},
 		{"bad duration", JobSpec{Kind: KindMission, Mission: &MissionSpec{Design: "LFSR 18", Duration: "soon"}}},
 		{"no design", JobSpec{Kind: KindSEU, SEU: &core.CampaignSpec{Sample: 1}}},
+		// Non-finite samples would otherwise pass Validate and panic in ID.
+		{"NaN sample", JobSpec{Kind: KindSEU, SEU: &core.CampaignSpec{Design: "LFSR 18", Sample: math.NaN()}}},
+		{"+Inf sample", JobSpec{Kind: KindSEU, SEU: &core.CampaignSpec{Design: "LFSR 18", Sample: math.Inf(1)}}},
+		{"-Inf sample", JobSpec{Kind: KindSEU, SEU: &core.CampaignSpec{Design: "LFSR 18", Sample: math.Inf(-1)}}},
 	}
 	for _, tc := range cases {
 		if err := tc.spec.Validate(); err == nil {

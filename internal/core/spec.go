@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/device"
 	"repro/internal/seu"
@@ -44,8 +45,12 @@ type CampaignSpec struct {
 }
 
 // Resolve parses the spec's string fields and returns the Config it
-// denotes.
+// denotes. A non-finite Sample is rejected: it selects no well-defined bit
+// set, and encoding/json cannot marshal it into a job ID.
 func (s CampaignSpec) Resolve() (Config, error) {
+	if math.IsNaN(s.Sample) || math.IsInf(s.Sample, 0) {
+		return Config{}, fmt.Errorf("core: sample %v is not a finite fraction", s.Sample)
+	}
 	g, err := ParseGeometry(s.Geom)
 	if err != nil {
 		return Config{}, err

@@ -14,14 +14,16 @@ import (
 	"repro/internal/device"
 )
 
-// Resumable chunked execution. The campaign service decomposes a sweep into
-// an explicit chunk plan, runs chunks on worker replicas, and checkpoints
-// each completed chunk's serialized result to disk. Because the plan is a
-// pure function of (geometry, options) and every chunk's result is a pure
-// function of (plan entry, options) — the same per-injection determinism the
-// sharded path relies on — a sweep interrupted at any chunk boundary and
-// resumed later (even by a different process at a different worker count)
-// assembles into a Report byte-identical to an uninterrupted Run.
+// Chunked execution — the only way a sweep runs. A campaign decomposes into
+// an explicit chunk plan, chunks run on board replicas (RunChunks), and the
+// results fold into a Report (AssembleReport). Run does this in one shot;
+// the campaign service checkpoints each completed chunk's serialized result
+// as it lands. Because the plan is a pure function of (geometry, options)
+// and every chunk's result is a pure function of (plan entry, options) —
+// every injection starts from canonical board state with a stimulus stream
+// seeded from (Seed, address) — a sweep interrupted at any chunk boundary
+// and resumed later (even by a different process at a different worker
+// count) assembles into a Report byte-identical to an uninterrupted Run.
 
 // ChunkSpec is one contiguous bit-address range of a campaign's sweep.
 type ChunkSpec struct {
@@ -37,6 +39,12 @@ type ChunkSpec struct {
 // valid under any other.
 func PlanChunks(g device.Geometry, opts Options, maxChunks int) []ChunkSpec {
 	limit, _ := selectionPlan(opts, g.TotalBits())
+	return splitChunks(limit, maxChunks)
+}
+
+// splitChunks cuts [0, limit) into at most maxChunks contiguous ranges of
+// equal span (the last one possibly shorter).
+func splitChunks(limit int64, maxChunks int) []ChunkSpec {
 	if maxChunks < 1 {
 		maxChunks = 1
 	}
@@ -65,43 +73,28 @@ func PlanChunks(g device.Geometry, opts Options, maxChunks int) []ChunkSpec {
 }
 
 // ChunkResult is the serializable outcome of one chunk — the checkpoint
-// unit. It mirrors the internal shard accumulator field for field.
+// unit. The injection loop accumulates straight into it.
 type ChunkResult struct {
-	Index           int        `json:"index"`
-	Injections      int64      `json:"injections"`
-	Failures        int64      `json:"failures"`
-	Persistent      int64      `json:"persistent"`
-	TriageSkipped   int64      `json:"triage_skipped"`
-	CyclesSimulated int64      `json:"cycles_simulated"`
-	CyclesSkipped   int64      `json:"cycles_skipped"`
-	SimulatedTimeNs int64      `json:"simulated_time_ns"`
-	InjectionsByKind KindCounts `json:"injections_by_kind"`
-	FailuresByKind   KindCounts `json:"failures_by_kind"`
+	Index            int         `json:"index"`
+	Injections       int64       `json:"injections"`
+	Failures         int64       `json:"failures"`
+	Persistent       int64       `json:"persistent"`
+	TriageSkipped    int64       `json:"triage_skipped"`
+	CyclesSimulated  int64       `json:"cycles_simulated"`
+	CyclesSkipped    int64       `json:"cycles_skipped"`
+	SimulatedTimeNs  int64       `json:"simulated_time_ns"`
+	InjectionsByKind KindCounts  `json:"injections_by_kind"`
+	FailuresByKind   KindCounts  `json:"failures_by_kind"`
 	Bits             []BitRecord `json:"bits,omitempty"`
 }
 
-// result converts a shard accumulator into its serializable form.
-func (acc *shardAccum) result(index int) *ChunkResult {
-	cr := &ChunkResult{
+// newChunkResult returns the empty accumulator of chunk index.
+func newChunkResult(index int) *ChunkResult {
+	return &ChunkResult{
 		Index:            index,
-		Injections:       acc.injections,
-		Failures:         acc.failures,
-		Persistent:       acc.persistent,
-		TriageSkipped:    acc.triageSkipped,
-		CyclesSimulated:  acc.cyclesRun,
-		CyclesSkipped:    acc.cyclesSkipped,
-		SimulatedTimeNs:  acc.simTime.Nanoseconds(),
-		InjectionsByKind: make(KindCounts, len(acc.injByKind)),
-		FailuresByKind:   make(KindCounts, len(acc.failByKind)),
-		Bits:             acc.bits,
+		InjectionsByKind: make(KindCounts),
+		FailuresByKind:   make(KindCounts),
 	}
-	for k, n := range acc.injByKind {
-		cr.InjectionsByKind[k] = n
-	}
-	for k, n := range acc.failByKind {
-		cr.FailuresByKind[k] = n
-	}
-	return cr
 }
 
 // CanonicalJSON returns the result's canonical serialized form — the bytes
@@ -129,8 +122,8 @@ func (cr *ChunkResult) Hash() (string, error) {
 
 // ChunkRunner executes chunks of one campaign on one board replica. The
 // base runner owns the campaign-scoped immutable state (golden snapshot,
-// triage mask); Clone derives additional runners for concurrent workers,
-// sharing that state the same way the internal sharded path does.
+// triage mask, selection limit, pre-plan); RunChunks clones additional
+// runners from it for concurrent workers, sharing that state read-only.
 type ChunkRunner struct {
 	bd     *board.SLAAC1V
 	golden *bitstream.Memory
@@ -140,16 +133,19 @@ type ChunkRunner struct {
 	opts   Options
 	plan   *prePlan
 	vr     *vectorRunner
+	// limit is the exclusive upper bit address of the sweep and count the
+	// exact number of injections it performs (selectionPlan).
+	limit, count int64
 	// tag/pooled drive replica-pool bookkeeping: clones are acquired from
-	// the pool and Release parks them; the base runner's board belongs to
+	// the pool and release parks them; the base runner's board belongs to
 	// the caller and is never pooled.
 	tag    uint64
 	pooled bool
 }
 
 // NewChunkRunner prepares bd for chunked execution of the campaign opts
-// describes: kernel selection, golden snapshot, and (if enabled) the static
-// triage mask — exactly the preamble of Run.
+// describes: kernel selection, golden snapshot, the static triage mask (if
+// enabled) and the vector pre-plan (on vectorized kernels).
 func NewChunkRunner(bd *board.SLAAC1V, opts Options) (*ChunkRunner, error) {
 	if opts.ObserveCycles <= 0 || opts.CleanRun <= 0 {
 		return nil, fmt.Errorf("seu: non-positive cycle counts")
@@ -159,8 +155,11 @@ func NewChunkRunner(bd *board.SLAAC1V, opts Options) (*ChunkRunner, error) {
 		bd:     bd,
 		golden: bd.DUT.ConfigMemory().Clone(),
 		fs:     newFrameScrub(bd.Geometry()),
-		fast:   opts.FastSim && !bd.DUT.HistoryCoupled(),
-		opts:   opts,
+		// Convergence early exit is exact only when no live design state
+		// survives a campaign reset; history-coupled configurations keep
+		// simulating every cycle (the kernel choice alone is always exact).
+		fast: opts.FastSim && !bd.DUT.HistoryCoupled(),
+		opts: opts,
 	}
 	if poolEligible(bd) {
 		r.tag = bd.CampaignFingerprint()
@@ -168,41 +167,34 @@ func NewChunkRunner(bd *board.SLAAC1V, opts Options) (*ChunkRunner, error) {
 	if opts.Triage {
 		r.tri = newTriage(bd)
 	}
-	limit, _ := selectionPlan(opts, bd.Geometry().TotalBits())
-	r.plan = campaignPlan(bd, opts, limit, r.tri)
+	r.limit, r.count = selectionPlan(opts, bd.Geometry().TotalBits())
+	r.plan = campaignPlan(bd, opts, r.limit, r.tri)
 	r.vr = maybeNewVectorRunner(bd, opts, r.plan)
 	return r, nil
 }
 
-// Clone returns a runner on a worker board replica — a pooled one from an
+// clone returns a runner on a worker board replica — a pooled one from an
 // earlier campaign of this design when available, else a fresh clone. The
-// triage mask and golden snapshot are immutable and shared; the
-// dirty-frame tracker and vector batch scheduler are per replica. The seed
-// only decorrelates a fresh replica's idle rng — results are independent
-// of it.
-func (r *ChunkRunner) Clone(seed int64) *ChunkRunner {
+// campaign-scoped state is shared; the dirty-frame tracker and vector batch
+// scheduler are per replica. The seed only decorrelates a fresh replica's
+// idle rng — results are independent of it.
+func (r *ChunkRunner) clone(seed int64) *ChunkRunner {
 	wb := acquireReplica(r.bd, r.tag, seed)
 	wb.SetFastSim(scalarKernelEvent(r.opts))
-	return &ChunkRunner{
-		bd:     wb,
-		golden: r.golden,
-		tri:    r.tri,
-		fs:     newFrameScrub(wb.Geometry()),
-		fast:   r.fast,
-		opts:   r.opts,
-		plan:   r.plan,
-		vr:     maybeNewVectorRunner(wb, r.opts, r.plan),
-		tag:    r.tag,
-		pooled: true,
-	}
+	c := *r
+	c.bd = wb
+	c.fs = newFrameScrub(wb.Geometry())
+	c.vr = maybeNewVectorRunner(wb, r.opts, r.plan)
+	c.pooled = true
+	return &c
 }
 
-// Release parks a cloned runner's board replica for reuse by later
+// release parks a cloned runner's board replica for reuse by later
 // campaigns of the same design. Call it only after every chunk handed to
 // this runner completed without error — an aborted runner may hold a board
 // mid-corruption, and such boards must be discarded (simply don't call
-// Release). No-op on the base runner, whose board belongs to the caller.
-func (r *ChunkRunner) Release() {
+// release). No-op on the base runner, whose board belongs to the caller.
+func (r *ChunkRunner) release() {
 	if !r.pooled {
 		return
 	}
@@ -213,11 +205,11 @@ func (r *ChunkRunner) Release() {
 // Run executes one chunk, returning its serializable result. A cancelled
 // context aborts between injections with ctx's error and no result.
 func (r *ChunkRunner) Run(ctx context.Context, spec ChunkSpec) (*ChunkResult, error) {
-	acc := newShardAccum()
-	if err := runRange(ctx, r.bd, r.golden, spec.Lo, spec.Hi, r.opts, acc, r.tri, r.fs, r.fast, r.vr, r.plan); err != nil {
+	acc := newChunkResult(spec.Index)
+	if err := r.runRange(ctx, spec.Lo, spec.Hi, acc); err != nil {
 		return nil, err
 	}
-	return acc.result(spec.Index), nil
+	return acc, nil
 }
 
 // AssembleReport folds chunk results — in any order, e.g. fresh runs mixed

@@ -4,23 +4,21 @@ import (
 	"context"
 	"sync"
 	"sync/atomic"
-	"time"
 
-	"repro/internal/bitstream"
 	"repro/internal/board"
 	"repro/internal/device"
 )
 
-// Sharded campaign execution. The bit-address space is cut into contiguous
-// chunks; workers pull chunks from a shared cursor, each running the
-// injection loop on its own cloned board replica and accumulating into a
-// private shardAccum. Because every injection starts from canonical board
-// state (board.ResetCampaignState) and samples by per-bit hash, chunk
-// scheduling cannot influence any outcome — the merge in chunk order
-// reassembles exactly the sequential report.
+// Parallel chunk execution. RunChunks is the one worker pool every sweep
+// runs on — Run's one-shot path and campaignd's local scheduler alike. The
+// base runner's board plus workers-1 replicas cloned from it pull chunks
+// from a shared cursor. Because every injection starts from canonical board
+// state (board.ResetCampaignState) and samples by per-bit hash, neither
+// chunk scheduling nor the replica a chunk lands on can influence any
+// outcome.
 
-// chunksPerWorker over-decomposes the address space so a worker stuck in a
-// failure-dense chunk doesn't serialize the tail of the campaign.
+// chunksPerWorker over-decomposes Run's address space so a worker stuck in
+// a failure-dense chunk doesn't serialize the tail of the campaign.
 const chunksPerWorker = 4
 
 // minInjectionsPerWorker is the smallest expected per-worker injection
@@ -28,64 +26,91 @@ const chunksPerWorker = 4
 // than requested.
 const minInjectionsPerWorker = 64
 
-// shardAccum accumulates one chunk's share of the report.
-type shardAccum struct {
-	injections    int64
-	failures      int64
-	persistent    int64
-	triageSkipped int64
-	cyclesRun     int64
-	cyclesSkipped int64
-	simTime       time.Duration
-	injByKind     map[device.BitKind]int64
-	failByKind    map[device.BitKind]int64
-	bits          []BitRecord
+// RunChunks executes specs on base's board plus workers-1 replicas cloned
+// from it before any chunk runs (cloning while the base board is
+// mid-injection would snapshot a dirty replica). Each completed chunk is
+// handed to commit, possibly concurrently from several workers; busy, if
+// non-nil, sees +1/-1 around every chunk execution.
+//
+// No new chunk starts once stop is closed, ctx is cancelled or a chunk or
+// commit has failed; chunks already in flight finish and are committed
+// (a cancelled ctx aborts them between injections instead). RunChunks
+// returns the first error, else ctx's error if cancellation left specs
+// unrun, else nil — so a nil return with specs unrun means stop closed.
+// Only runners whose chunks all completed park their replicas for reuse.
+func RunChunks(ctx context.Context, base *ChunkRunner, specs []ChunkSpec, workers int, stop <-chan struct{}, busy func(delta int), commit func(ChunkSpec, *ChunkResult) error) error {
+	if len(specs) == 0 {
+		return nil
+	}
+	workers = max(1, min(workers, len(specs)))
+	if busy == nil {
+		busy = func(int) {}
+	}
+	runners := make([]*ChunkRunner, workers)
+	runners[0] = base
+	for i := 1; i < workers; i++ {
+		runners[i] = base.clone(base.opts.Seed + int64(i))
+	}
+
+	var (
+		next     atomic.Int64 // next spec to claim; a claimed spec completes or fails
+		errOnce  sync.Once
+		firstErr error
+		failed   atomic.Bool
+		wg       sync.WaitGroup
+	)
+	halted := func() bool {
+		select {
+		case <-stop:
+			return true
+		default:
+			return failed.Load() || ctx.Err() != nil
+		}
+	}
+	for _, r := range runners {
+		wg.Add(1)
+		go func(r *ChunkRunner) {
+			defer wg.Done()
+			for !halted() {
+				i := next.Add(1) - 1
+				if i >= int64(len(specs)) {
+					break
+				}
+				cs := specs[i]
+				busy(1)
+				cr, err := r.Run(ctx, cs)
+				busy(-1)
+				if err == nil {
+					err = commit(cs, cr)
+				}
+				if err != nil {
+					errOnce.Do(func() { firstErr = err })
+					failed.Store(true)
+					return
+				}
+			}
+			r.release()
+		}(r)
+	}
+	wg.Wait()
+	if firstErr == nil && next.Load() < int64(len(specs)) {
+		return ctx.Err()
+	}
+	return firstErr
 }
 
-func newShardAccum() *shardAccum {
-	return &shardAccum{
-		injByKind:  make(map[device.BitKind]int64),
-		failByKind: make(map[device.BitKind]int64),
-	}
-}
-
-// mergeInto folds one chunk accumulator into the report. Chunks are folded
-// in ascending chunk order, and addresses ascend within a chunk, so
-// SensitiveBits arrives already sorted by Addr.
-func mergeInto(rep *Report, acc *shardAccum) {
-	if acc == nil {
-		return
-	}
-	rep.Injections += acc.injections
-	rep.Failures += acc.failures
-	rep.Persistent += acc.persistent
-	rep.TriageSkipped += acc.triageSkipped
-	rep.CyclesSimulated += acc.cyclesRun
-	rep.CyclesSkipped += acc.cyclesSkipped
-	rep.SimulatedTime += acc.simTime
-	for k, n := range acc.injByKind {
-		rep.InjectionsByKind[k] += n
-	}
-	for k, n := range acc.failByKind {
-		rep.FailuresByKind[k] += n
-	}
-	rep.SensitiveBits = append(rep.SensitiveBits, acc.bits...)
-}
-
-// runRange executes the injection loop over bit addresses [lo, hi) on bd.
-// tri is the shared read-only sensitivity triage (nil = disabled); fs is
-// bd's dirty-frame tracker, owned by the worker driving bd; vr is the
-// worker's vector-kernel batch scheduler and plan the campaign pre-plan
-// (both nil on scalar campaigns). Cancellation is checked before every
-// injection (and periodically across skipped spans), so a cancelled
+// runRange executes the injection loop over bit addresses [lo, hi) on the
+// runner's board, accumulating into acc. Cancellation is checked before
+// every injection (and periodically across skipped spans), so a cancelled
 // campaign stops with the board between iterations, never mid-repair. A
 // pending vector batch always flushes inside the range that enqueued it,
 // so chunk results stay a pure function of their spec.
-func runRange(ctx context.Context, bd *board.SLAAC1V, golden *bitstream.Memory, lo, hi int64, opts Options, acc *shardAccum, tri *triage, fs *frameScrub, fast bool, vr *vectorRunner, plan *prePlan) error {
-	if vr != nil {
-		return runPlannedRange(ctx, bd, golden, plan, lo, hi, opts, acc, fs, fast, vr)
+func (r *ChunkRunner) runRange(ctx context.Context, lo, hi int64, acc *ChunkResult) error {
+	if r.vr != nil {
+		return r.runPlannedRange(ctx, lo, hi, acc)
 	}
-	g := bd.Geometry()
+	opts := r.opts
+	g := r.bd.Geometry()
 	for a := device.BitAddr(lo); int64(a) < hi; a++ {
 		// The sampling skip path costs one hash per address; amortize the
 		// cancellation check over skipped spans so it stays invisible there.
@@ -98,20 +123,20 @@ func runRange(ctx context.Context, bd *board.SLAAC1V, golden *bitstream.Memory, 
 			continue
 		}
 		info := g.Classify(a)
-		acc.injections++
-		acc.injByKind[info.Kind]++
-		acc.simTime += board.InjectLoopTime
+		acc.Injections++
+		acc.InjectionsByKind[info.Kind]++
+		acc.SimulatedTimeNs += board.InjectLoopTime.Nanoseconds()
 		if opts.FastPadSkip && (info.Kind == device.KindPad || info.Kind == device.KindExtra) {
 			continue // provably benign: no decoded behaviour depends on it
 		}
-		if tri.inert(a) {
-			acc.triageSkipped++
+		if r.tri.inert(a) {
+			acc.TriageSkipped++
 			continue // provably outside every observed output's cone
 		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := injectOne(bd, golden, a, info.Kind, stimulusSeed(opts.Seed, a), opts, acc, fs, fast); err != nil {
+		if err := injectOne(r.bd, r.golden, a, info.Kind, stimulusSeed(opts.Seed, a), opts, acc, r.fs, r.fast); err != nil {
 			return err
 		}
 	}
@@ -123,8 +148,9 @@ func runRange(ctx context.Context, bd *board.SLAAC1V, golden *bitstream.Memory, 
 // [lo, hi) and dispatches on each entry's precomputed disposition. The
 // planner never runs here — classification happened exactly once per
 // sampled bit, in buildPrePlan.
-func runPlannedRange(ctx context.Context, bd *board.SLAAC1V, golden *bitstream.Memory, plan *prePlan, lo, hi int64, opts Options, acc *shardAccum, fs *frameScrub, fast bool, vr *vectorRunner) error {
-	entries := plan.window(lo, hi)
+func (r *ChunkRunner) runPlannedRange(ctx context.Context, lo, hi int64, acc *ChunkResult) error {
+	opts, vr := r.opts, r.vr
+	entries := r.plan.window(lo, hi)
 	for i := range entries {
 		e := &entries[i]
 		// Retired entries (pad/triage/benign) cost no board work; amortize
@@ -134,109 +160,41 @@ func runPlannedRange(ctx context.Context, bd *board.SLAAC1V, golden *bitstream.M
 				return err
 			}
 		}
-		acc.injections++
-		acc.injByKind[e.kind]++
-		acc.simTime += board.InjectLoopTime
+		acc.Injections++
+		acc.InjectionsByKind[e.kind]++
+		acc.SimulatedTimeNs += board.InjectLoopTime.Nanoseconds()
 		switch e.act {
 		case planPad, planBenign:
 			// Provably benign without board activity.
 		case planTriage:
-			acc.triageSkipped++
+			acc.TriageSkipped++
 		case planVector:
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 			vr.enqueueVector(e)
 			if vr.shouldFlush() {
-				vr.flush(opts, acc, fast)
+				vr.flush(opts, acc, r.fast)
 			}
 		case planCarry:
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := vr.enqueueCarry(bd, golden, e, opts, acc, fs); err != nil {
+			if err := vr.enqueueCarry(r.bd, r.golden, e, opts, acc, r.fs); err != nil {
 				return err
 			}
 			if vr.shouldFlush() {
-				vr.flush(opts, acc, fast)
+				vr.flush(opts, acc, r.fast)
 			}
 		case planScalar:
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := injectOne(bd, golden, e.addr, e.kind, e.seed, opts, acc, fs, fast); err != nil {
+			if err := injectOne(r.bd, r.golden, e.addr, e.kind, e.seed, opts, acc, r.fs, r.fast); err != nil {
 				return err
 			}
 		}
 	}
-	vr.flush(opts, acc, fast)
+	vr.flush(opts, acc, r.fast)
 	return nil
-}
-
-// runSharded fans the range [0, limit) out over workers cloned boards and
-// returns the per-chunk accumulators in chunk order.
-func runSharded(ctx context.Context, bd *board.SLAAC1V, golden *bitstream.Memory, limit int64, workers int, opts Options, tri *triage, fast bool, plan *prePlan) ([]*shardAccum, error) {
-	chunks := workers * chunksPerWorker
-	if int64(chunks) > limit {
-		chunks = int(limit)
-	}
-	if chunks < 1 {
-		chunks = 1
-	}
-	span := (limit + int64(chunks) - 1) / int64(chunks)
-	accs := make([]*shardAccum, chunks)
-	var (
-		cursor int64
-		failed atomic.Bool
-		wg     sync.WaitGroup
-	)
-	errCh := make(chan error, workers)
-	var tag uint64
-	if poolEligible(bd) {
-		tag = bd.CampaignFingerprint()
-	}
-	for w := 0; w < workers; w++ {
-		// The clone seed is irrelevant to results (every injection re-seeds
-		// the stimulus stream) but must differ per worker for rng hygiene.
-		// Replicas parked by earlier campaigns of the same design are
-		// reused when their fingerprint matches.
-		wb := acquireReplica(bd, tag, opts.Seed+int64(w)+1)
-		wb.SetFastSim(scalarKernelEvent(opts))
-		wg.Add(1)
-		go func(wb *board.SLAAC1V) {
-			defer wg.Done()
-			// The dirty-frame tracker is per replica: it certifies frames of
-			// THIS board's configuration memory, so it must live as long as
-			// the replica, not per chunk.
-			fs := newFrameScrub(wb.Geometry())
-			vr := maybeNewVectorRunner(wb, opts, plan)
-			for {
-				ci := atomic.AddInt64(&cursor, 1) - 1
-				if ci >= int64(chunks) || failed.Load() {
-					// Every completed range left wb with a golden substrate;
-					// park it for the next campaign of this design.
-					releaseReplica(wb, tag, !failed.Load())
-					return
-				}
-				lo := ci * span
-				hi := lo + span
-				if hi > limit {
-					hi = limit
-				}
-				acc := newShardAccum()
-				accs[ci] = acc
-				if err := runRange(ctx, wb, golden, lo, hi, opts, acc, tri, fs, fast, vr, plan); err != nil {
-					failed.Store(true)
-					errCh <- err
-					return
-				}
-			}
-		}(wb)
-	}
-	wg.Wait()
-	close(errCh)
-	if err := <-errCh; err != nil {
-		return nil, err
-	}
-	return accs, nil
 }

@@ -41,7 +41,7 @@ func assertReportsEqual(t *testing.T, seq, par *Report) {
 // TestParallelSequentialEquivalence is the campaign-determinism contract:
 // Workers: 1 and Workers: 4 produce identical reports for catalog designs
 // at sampled and exhaustive rates. The Workers: 4 runs also put the
-// sharded path under the race detector in the default test suite.
+// multi-worker chunk pool under the race detector in the default test suite.
 func TestParallelSequentialEquivalence(t *testing.T) {
 	cases := []struct {
 		design  string

@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"runtime"
-	"sort"
 	"time"
 
 	"repro/internal/bitstream"
@@ -263,11 +262,12 @@ func (r *Report) String() string {
 // Run executes an injection campaign on the testbed. The board must be
 // freshly configured (golden and DUT in lock-step).
 //
-// With Workers > 1 the bit-address space is sharded over cloned board
-// replicas. Every injection starts from canonical board state with a
-// stimulus stream seeded from (Seed, address), so the Report — injected
-// set, counters, per-kind maps, and SensitiveBits order — is identical at
-// any worker count; only WallTime varies.
+// The sweep runs through the chunk API: one chunk on bd itself with a
+// single worker, else Workers*chunksPerWorker chunks over bd plus cloned
+// board replicas (RunChunks). Every injection starts from canonical board
+// state with a stimulus stream seeded from (Seed, address), so the Report
+// — injected set, counters, per-kind maps, and SensitiveBits order — is
+// identical at any worker count; only WallTime varies.
 func Run(bd *board.SLAAC1V, opts Options) (*Report, error) {
 	return RunContext(context.Background(), bd, opts)
 }
@@ -277,59 +277,32 @@ func Run(bd *board.SLAAC1V, opts Options) (*Report, error) {
 // returns no partial report — resumable execution is the chunk API's job
 // (PlanChunks / ChunkRunner).
 func RunContext(ctx context.Context, bd *board.SLAAC1V, opts Options) (*Report, error) {
-	if opts.ObserveCycles <= 0 || opts.CleanRun <= 0 {
-		return nil, fmt.Errorf("seu: non-positive cycle counts")
-	}
-	g := bd.Geometry()
-	bd.SetFastSim(scalarKernelEvent(opts))
-	// Convergence early exit is exact only when no live design state
-	// survives a campaign reset; history-coupled configurations keep
-	// simulating every cycle (the kernel choice alone is always exact).
-	fast := opts.FastSim && !bd.DUT.HistoryCoupled()
-	golden := bd.DUT.ConfigMemory().Clone()
-	rep := &Report{
-		Design:           bd.Placed.Circuit.Name,
-		Geom:             g,
-		SlicesUsed:       bd.Placed.SlicesUsed(),
-		InjectionsByKind: make(KindCounts),
-		FailuresByKind:   make(KindCounts),
-	}
 	start := time.Now()
-
-	limit, expected := selectionPlan(opts, g.TotalBits())
+	r, err := NewChunkRunner(bd, opts)
+	if err != nil {
+		return nil, err
+	}
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if maxw := int(expected/minInjectionsPerWorker) + 1; workers > maxw {
+	if maxw := int(r.count/minInjectionsPerWorker) + 1; workers > maxw {
 		workers = maxw // not enough work to amortize board clones
 	}
-	var tri *triage
-	if opts.Triage {
-		tri = newTriage(bd)
+	chunks := 1
+	if workers > 1 {
+		chunks = workers * chunksPerWorker
 	}
-	plan := campaignPlan(bd, opts, limit, tri)
-	if workers == 1 {
-		acc := newShardAccum()
-		vr := maybeNewVectorRunner(bd, opts, plan)
-		if err := runRange(ctx, bd, golden, 0, limit, opts, acc, tri, newFrameScrub(g), fast, vr, plan); err != nil {
-			return nil, err
-		}
-		mergeInto(rep, acc)
-	} else {
-		accs, err := runSharded(ctx, bd, golden, limit, workers, opts, tri, fast, plan)
-		if err != nil {
-			return nil, err
-		}
-		for _, acc := range accs {
-			mergeInto(rep, acc)
-		}
-	}
-	// Already in address order by construction; keep the guarantee even if
-	// the sharding strategy changes.
-	sort.Slice(rep.SensitiveBits, func(i, j int) bool {
-		return rep.SensitiveBits[i].Addr < rep.SensitiveBits[j].Addr
+	specs := splitChunks(r.limit, chunks)
+	results := make([]*ChunkResult, len(specs))
+	err = RunChunks(ctx, r, specs, workers, nil, nil, func(cs ChunkSpec, cr *ChunkResult) error {
+		results[cs.Index] = cr
+		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	rep := r.AssembleReport(results)
 	rep.WallTime = time.Since(start)
 	return rep, nil
 }
@@ -420,10 +393,10 @@ func observeAndRepair(bd *board.SLAAC1V, golden *bitstream.Memory, a device.BitA
 // last golden verification. seed is the injection's stimulus seed
 // (precomputed by the pre-plan on the vector path, derived on the fly by
 // the scalar loop).
-func injectOne(bd *board.SLAAC1V, golden *bitstream.Memory, a device.BitAddr, kind device.BitKind, seed int64, opts Options, acc *shardAccum, fs *frameScrub, fast bool) error {
+func injectOne(bd *board.SLAAC1V, golden *bitstream.Memory, a device.BitAddr, kind device.BitKind, seed int64, opts Options, acc *ChunkResult, fs *frameScrub, fast bool) error {
 	ob, err := observeAndRepair(bd, golden, a, seed, opts, fs)
 	startCycle := bd.Cycle() - ob.steps
-	defer func() { acc.cyclesRun += bd.Cycle() - startCycle }()
+	defer func() { acc.CyclesSimulated += bd.Cycle() - startCycle }()
 	if err != nil {
 		return err
 	}
@@ -437,7 +410,7 @@ func injectOne(bd *board.SLAAC1V, golden *bitstream.Memory, a device.BitAddr, ki
 			if fast && bd.Locked() {
 				// Provably in lock-step forever: the remaining clean cycles
 				// are guaranteed matches.
-				acc.cyclesSkipped += int64(opts.CleanRun - clean)
+				acc.CyclesSkipped += int64(opts.CleanRun - clean)
 				clean = opts.CleanRun
 				break
 			}
@@ -455,8 +428,8 @@ func injectOne(bd *board.SLAAC1V, golden *bitstream.Memory, a device.BitAddr, ki
 		}
 	}
 
-	acc.failures++
-	acc.failByKind[kind]++
+	acc.Failures++
+	acc.FailuresByKind[kind]++
 
 	persistent := false
 	if opts.ClassifyPersistence {
@@ -473,7 +446,7 @@ func injectOne(bd *board.SLAAC1V, golden *bitstream.Memory, a device.BitAddr, ki
 				// current clean streak to the end of the window — exactly
 				// what simulating them would produce.
 				remaining := opts.PersistWindow - i
-				acc.cyclesSkipped += int64(remaining)
+				acc.CyclesSkipped += int64(remaining)
 				clean += remaining
 				break
 			}
@@ -485,11 +458,11 @@ func injectOne(bd *board.SLAAC1V, golden *bitstream.Memory, a device.BitAddr, ki
 		}
 		persistent = clean < opts.CleanRun
 		if persistent {
-			acc.persistent++
+			acc.Persistent++
 		}
 	}
 	if opts.CollectBits {
-		acc.bits = append(acc.bits, BitRecord{
+		acc.Bits = append(acc.Bits, BitRecord{
 			Addr: a, Kind: kind, Persistent: persistent,
 			FirstErrorCycle: firstErr, FailedOutputs: failedOutputs,
 		})

@@ -1,6 +1,7 @@
 package seu
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/board"
@@ -148,28 +149,43 @@ func TestCampaignBookkeeping(t *testing.T) {
 	}
 }
 
+// TestCampaignLeavesBoardClean checks the caller's board after a campaign:
+// configuration golden and the pair in lock-step. Run drives that board
+// itself — all of the sweep with one worker, a share of the chunks beside
+// the cloned replicas with more — so the check is made at both.
 func TestCampaignLeavesBoardClean(t *testing.T) {
 	spec, _ := designs.ByName("MULT 12")
 	p, err := place.Place(spec.Build(), device.Small())
 	if err != nil {
 		t.Fatal(err)
 	}
-	bd, err := board.New(p, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden := bd.DUT.ConfigMemory().Clone()
-	opts := DefaultOptions()
-	opts.Sample = 0.01
-	opts.Seed = 5
-	if _, err := Run(bd, opts); err != nil {
-		t.Fatal(err)
-	}
-	if !bd.DUT.ConfigMemory().Equal(golden) {
-		t.Fatal("campaign left corruption in the DUT configuration")
-	}
-	if mism, _ := bd.StepN(50); mism != 0 {
-		t.Fatal("board not in lock-step after campaign")
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers_%d", workers), func(t *testing.T) {
+			bd, err := board.New(p, 9)
+			if err != nil {
+				t.Fatal(err)
+			}
+			golden := bd.DUT.ConfigMemory().Clone()
+			opts := DefaultOptions()
+			opts.Sample = 0.01
+			opts.Seed = 5
+			opts.Workers = workers
+			before := bd.Cycle()
+			if _, err := Run(bd, opts); err != nil {
+				t.Fatal(err)
+			}
+			// Which chunks the base board draws at several workers is up
+			// to the scheduler; with one it runs the whole sweep.
+			if workers == 1 && bd.Cycle() == before {
+				t.Fatal("one-worker campaign never stepped the caller's board")
+			}
+			if !bd.DUT.ConfigMemory().Equal(golden) {
+				t.Fatal("campaign left corruption in the DUT configuration")
+			}
+			if mism, _ := bd.StepN(50); mism != 0 {
+				t.Fatal("board not in lock-step after campaign")
+			}
+		})
 	}
 }
 
